@@ -536,6 +536,11 @@ func BenchmarkEngineTickColumns(b *testing.B) { benchcases.EngineTickColumns(b, 
 // workload).
 func BenchmarkEngineTickRowBaseline(b *testing.B) { benchcases.EngineTick(b) }
 
+// BenchmarkEngineTickPaper is the row-at-a-time tick at the paper shape of
+// the serving benchmark's paper-steady workload (width 16, L=4032, l=72,
+// k=5, d=3, four bursty targets at 8% missing).
+func BenchmarkEngineTickPaper(b *testing.B) { benchcases.EngineTickPaper(b) }
+
 // BenchmarkWALAppendBatch appends 64-row batches — one record, one CRC, one
 // group-commit slot per batch; ns/op is per row, comparable to
 // BenchmarkWALAppend.

@@ -4,10 +4,13 @@
 // against the committed BENCH_engine.json. One definition guarantees the gate
 // measures exactly what the named benchmarks measure.
 //
-// Every engine case streams the same deterministic daily-periodic workload:
-// width 4, window 4032, stream 0 missing every 20th measured tick (the
-// loadgen default 5% missing rate) — so the row-at-a-time baseline and the
-// columnar batch path are directly comparable ns-per-tick numbers.
+// The engine-tick, engine-tick-columns-64 and shard cases stream the same
+// deterministic daily-periodic workload: width 4, window 4032, stream 0
+// missing every 20th measured tick (the loadgen default 5% missing rate) —
+// so the row-at-a-time baseline and the columnar batch path are directly
+// comparable ns-per-tick numbers. engine-tick-paper runs the shape of the
+// serving benchmark's paper-steady workload instead (width 16, four bursty
+// targets), the shape at which the engine is the largest serving layer.
 package benchcases
 
 import (
@@ -15,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"testing"
@@ -43,6 +47,7 @@ func Cases() []Case {
 	return []Case{
 		{Name: "engine-tick", Batch: 1, Fn: EngineTick},
 		{Name: "engine-tick-columns-64", Batch: 64, Fn: func(b *testing.B) { EngineTickColumns(b, 64) }},
+		{Name: "engine-tick-paper", Batch: 1, Fn: EngineTickPaper},
 		{Name: "wal-append", Batch: 1, Fn: WALAppend},
 		{Name: "wal-append-batch-64", Batch: 64, Fn: func(b *testing.B) { WALAppendBatch(b, 64) }},
 		{Name: "shard-tick", Batch: 1, Fn: ShardTick},
@@ -141,6 +146,122 @@ func EngineTickColumns(b *testing.B, batch int) {
 			cols[j] = buf[j][:n]
 		}
 		if _, _, err := eng.TickColumns(cols); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The paper-shape case: the paper's serving shape (L=4032, l=72, k=5, d=3)
+// over width 16, whose first paperTargets columns go missing — 8% of their
+// values, in runs of mean length 12 — and each impute from three pinned
+// references among the always-present columns.
+const (
+	paperWidth   = 16
+	paperTargets = 4
+	paperWindow  = 4032
+	paperPeriod  = 288
+	paperMissing = 0.08
+	paperMeanRun = 12
+)
+
+// paperGen generates the paper-shape rows: phase-shifted seasonal series
+// with seeded level, amplitude, phase and noise, rounded to two decimals.
+type paperGen struct {
+	rng               *rand.Rand
+	phase, level, amp []float64
+	n                 int
+	runLeft           [paperTargets]int
+}
+
+func newPaperGen(seed uint64) *paperGen {
+	g := &paperGen{
+		rng:   rand.New(rand.NewPCG(seed, 1)),
+		phase: make([]float64, paperWidth),
+		level: make([]float64, paperWidth),
+		amp:   make([]float64, paperWidth),
+	}
+	base := g.rng.Float64() * 2 * math.Pi
+	for c := range g.phase {
+		g.phase[c] = base + 2*math.Pi*float64(c)/paperWidth + 0.3*g.rng.Float64()
+		g.level[c] = 10 + 20*g.rng.Float64()
+		g.amp[c] = 2 + 6*g.rng.Float64()
+	}
+	return g
+}
+
+// next fills row with the next row; the first paperWindow rows are complete.
+func (g *paperGen) next(row []float64) {
+	ph := 2 * math.Pi * float64(g.n) / paperPeriod
+	warm := g.n < paperWindow
+	g.n++
+	for c := range row {
+		v := g.level[c] + g.amp[c]*math.Sin(ph+g.phase[c]) + 0.2*g.rng.Float64()
+		row[c] = math.Round(100*v) / 100
+	}
+	if warm {
+		return
+	}
+	for c := range g.runLeft {
+		if g.missingNow(c) {
+			row[c] = tkcm.Missing
+		}
+	}
+}
+
+// missingNow starts runs with probability p per present value and gives
+// them geometric lengths of mean paperMeanRun, for a long-run missing
+// fraction of paperMissing.
+func (g *paperGen) missingNow(c int) bool {
+	if g.runLeft[c] > 0 {
+		g.runLeft[c]--
+		return true
+	}
+	p := paperMissing / ((1 - paperMissing) * paperMeanRun)
+	if g.rng.Float64() >= p {
+		return false
+	}
+	run := 1
+	for g.rng.Float64() < 1-1.0/paperMeanRun && run < 8*paperMeanRun {
+		run++
+	}
+	g.runLeft[c] = run - 1
+	return true
+}
+
+// EngineTickPaper is the row-at-a-time tick at the paper shape, warm window,
+// ns/op per tick.
+func EngineTickPaper(b *testing.B) {
+	names := make([]string, paperWidth)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%02d", i)
+	}
+	refs := make(map[string]tkcm.ReferenceSet, paperTargets)
+	for c := 0; c < paperTargets; c++ {
+		var cands []string
+		for j := 0; j < 3; j++ {
+			cands = append(cands, names[paperTargets+(c+j*paperWidth/4)%(paperWidth-paperTargets)])
+		}
+		refs[names[c]] = tkcm.ReferenceSet{Stream: names[c], Candidates: cands}
+	}
+	cfg := tkcm.Config{K: 5, PatternLength: 72, D: 3, WindowLength: paperWindow, SkipDiagnostics: true}
+	eng, err := tkcm.NewEngine(cfg, names, refs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	g := newPaperGen(7)
+	row := make([]float64, paperWidth)
+	for t := 0; t < paperWindow; t++ {
+		g.next(row)
+		if _, _, err := eng.Tick(row); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.next(row)
+		if _, _, err := eng.Tick(row); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -456,22 +456,149 @@ func (st *incStreamState) rebuild(nv []float64, l int) {
 	} else {
 		st.cross = st.cross[:nCand]
 	}
-	// Candidate energies roll in O(m); cross products are O(l) each.
+	// Candidate energies roll in O(m).
 	e := 0.0
 	for x := 0; x < l; x++ {
 		e += nv[x] * nv[x]
 	}
-	for j := 0; j < nCand; j++ {
-		st.energy[j] = e
+	energy := st.energy[:nCand]
+	for j := range energy {
+		energy[j] = e
 		if j+1 < nCand {
 			e += nv[j+l]*nv[j+l] - nv[j]*nv[j]
 		}
-		c := 0.0
-		for x := 0; x < l; x++ {
-			c += nv[j+x] * nv[qs+x]
-		}
-		st.cross[j] = c
 	}
+	// Cross products are O(l) each. The candidates are independent
+	// accumulators, so the loop runs query offset by query offset over all
+	// of them, four offsets per pass: each cross[j] still sums its l
+	// products in ascending x, starting from zero, exactly as a per-candidate
+	// dot product would, but the passes carry no dependency from one
+	// candidate to the next.
+	cross := st.cross[:nCand]
+	clear(cross)
+	q := nv[qs:m]
+	x := 0
+	for ; x+4 <= l; x += 4 {
+		q0, q1, q2, q3 := q[x], q[x+1], q[x+2], q[x+3]
+		s0 := nv[x : x+nCand]
+		s1 := nv[x+1 : x+1+nCand]
+		s2 := nv[x+2 : x+2+nCand]
+		s3 := nv[x+3 : x+3+nCand]
+		s0, s1, s2, s3 = s0[:len(cross)], s1[:len(cross)], s2[:len(cross)], s3[:len(cross)]
+		for j := range cross {
+			c := cross[j] + s0[j]*q0
+			c += s1[j] * q1
+			c += s2[j] * q2
+			c += s3[j] * q3
+			cross[j] = c
+		}
+	}
+	for ; x < l; x++ {
+		qx := q[x]
+		sx := nv[x : x+nCand]
+		sx = sx[:len(cross)]
+		for j := range cross {
+			cross[j] += sx[j] * qx
+		}
+	}
+}
+
+// incStreamImage is the part of one stream's incremental state a snapshot
+// carries beyond the retained window, so a restored engine continues
+// bit-identically to an uninterrupted one. Replayed aggregates round
+// differently from rebuilt ones, and the compaction point of the history
+// backing decides whether a later sync may replay or must rebuild, so both
+// the aggregates and the backing geometry are state, not derived data.
+type incStreamImage struct {
+	start int // window start in the 2L history backing
+	valid bool
+	// The fields below describe the aggregates and are set only when valid.
+	deferred     int
+	syncM        int
+	sinceRebuild int
+	syncRel      int       // syncStart − start (≤ 0)
+	pre          []float64 // hist[start−len(pre) : start], needed to replay the deferred slides
+	cross        []float64
+	energy       []float64 // live entries, len(cross) of them
+	eq           float64
+}
+
+// image returns stream i's state beyond its window values. The slices alias
+// the live state; the caller must finish with them before the next tick.
+func (p *IncrementalProfiler) image(i int) incStreamImage {
+	st := p.states[i]
+	img := incStreamImage{start: st.start, valid: st.aggOK}
+	if !st.aggOK {
+		return img
+	}
+	img.deferred = st.deferred
+	img.syncM = st.syncM
+	img.sinceRebuild = st.sinceRebuild
+	img.syncRel = st.syncStart - st.start
+	if st.syncStart >= 0 {
+		img.pre = st.hist[st.syncStart:st.start]
+	}
+	img.cross = st.cross
+	img.energy = st.energy[st.estart : st.estart+len(st.cross)]
+	img.eq = st.eq
+	return img
+}
+
+// restoreStream reinstates stream i from its retained window values (oldest
+// first) and its image, which must be consistent with the profiler's shape
+// (validateImage). The stream's tick counter restarts at len(window), as
+// AdvanceBulk would leave it.
+func (p *IncrementalProfiler) restoreStream(i int, window []float64, img *incStreamImage) {
+	st := p.states[i]
+	st.hist = make([]float64, 2*p.winLen)
+	copy(st.hist[img.start:], window)
+	st.start = img.start
+	st.m = len(window)
+	st.ticks = len(window)
+	if !img.valid {
+		return
+	}
+	copy(st.hist[img.start-len(img.pre):], img.pre)
+	st.aggOK = true
+	st.deferred = img.deferred
+	st.syncM = img.syncM
+	st.sinceRebuild = img.sinceRebuild
+	st.syncStart = img.start + img.syncRel
+	st.energy = make([]float64, len(st.hist))
+	copy(st.energy, img.energy)
+	st.estart = 0
+	st.cross = make([]float64, len(img.cross), max(p.maxCand, len(img.cross)))
+	copy(st.cross, img.cross)
+	st.eq = img.eq
+}
+
+// validateImage checks a decoded stream image against the profiler's shape
+// for a window of m retained values, so restoreStream and every later sync
+// stay in bounds whatever the image claims.
+func (p *IncrementalProfiler) validateImage(img *incStreamImage, m int) error {
+	L, l := p.winLen, p.l
+	if img.start < 0 || img.start > 2*L-m || (m < L && img.start != 0) {
+		return fmt.Errorf("history start %d does not fit a %d-value window in a %d-slot backing", img.start, m, 2*L)
+	}
+	if !img.valid {
+		return nil
+	}
+	nCand := img.syncM - 2*l + 1
+	switch {
+	case img.syncM > m || nCand < 1 || nCand > p.maxCand:
+		return fmt.Errorf("sync window of %d values does not fit the %d retained", img.syncM, m)
+	case len(img.cross) != nCand || len(img.energy) != nCand:
+		return fmt.Errorf("%d cross and %d energy aggregates, want %d", len(img.cross), len(img.energy), nCand)
+	case img.deferred < 0 || img.deferred > maxSnapSection || img.sinceRebuild < 0 || img.sinceRebuild > maxSnapSection:
+		return fmt.Errorf("implausible deferral counters (%d, %d)", img.deferred, img.sinceRebuild)
+	case img.syncRel > 0 || img.syncRel < -maxSnapSection:
+		return fmt.Errorf("sync start %d past the window start", img.syncRel)
+	case img.start+img.syncRel >= 0 && len(img.pre) != -img.syncRel:
+		return fmt.Errorf("%d values before the window, want %d", len(img.pre), -img.syncRel)
+	case img.start+img.syncRel < 0 && len(img.pre) != 0:
+		return fmt.Errorf("%d values before the window, want none", len(img.pre))
+	}
+	return nil
 }
 
 // syncContrib catches st up to the current tick and returns its contribution

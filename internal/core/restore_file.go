@@ -7,7 +7,7 @@ import (
 
 // RestoreEngineFile restores a Snapshot image from a file. On platforms that
 // support it the file is memory-mapped for the duration of the restore, so a
-// v3 image's page-aligned window region bulk-loads straight from the page
+// v3+ image's page-aligned window region bulk-loads straight from the page
 // cache without staging the whole image through a heap buffer — the cheap
 // path engine hydration (internal/shard residency) leans on. The mapping is
 // released before the call returns; platforms without mmap fall back to

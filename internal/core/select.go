@@ -114,25 +114,44 @@ func selectDPInto(d []float64, k, l int, sc *selectScratch) (idx []int, sum floa
 		}
 	}
 	row := n + 1
-	for j := 0; j <= n; j++ {
-		m[0*row+j] = 0
-	}
+	clear(m[:row])
+	inf := math.Inf(1)
 	for i := 1; i <= k; i++ {
-		for j := 0; j <= n; j++ {
-			if i > j {
-				m[i*row+j] = math.Inf(1)
-				continue
+		prev := m[(i-1)*row : i*row]
+		cur := m[i*row : (i+1)*row]
+		// M[i][j] = +inf for j < i: fewer candidates than picks.
+		lo := min(i, row)
+		for j := range cur[:lo] {
+			cur[j] = inf
+		}
+		// best carries M[i][j−1] (the skip branch) in a register. The strict
+		// test keeps the skip value on ties and whenever take is NaN, the
+		// same outcome as comparing against the stored cell.
+		best := inf
+		// Clamped region, j ≤ l: picking candidate j leaves no earlier
+		// candidate, so take = D[j] + M[i−1][0].
+		hi := min(l, n)
+		p0 := prev[0]
+		for j := lo; j <= hi; j++ {
+			if take := d[j-1] + p0; take < best {
+				best = take
 			}
-			skip := m[i*row+j-1]
-			prev := j - l
-			if prev < 0 {
-				prev = 0
-			}
-			take := d[j-1] + m[(i-1)*row+prev]
-			if take < skip {
-				m[i*row+j] = take
-			} else {
-				m[i*row+j] = skip
+			cur[j] = best
+		}
+		// Main region, j > l: take = D[j] + M[i−1][j−l]. The re-slices line
+		// the three operands up at a common index so the loop is free of
+		// bounds checks.
+		if start := max(lo, l+1); start <= n {
+			cc := cur[start : n+1]
+			dd := d[start-1 : n]
+			dd = dd[:len(cc)]
+			pp := prev[start-l : n-l+1]
+			pp = pp[:len(cc)]
+			for x := range cc {
+				if take := dd[x] + pp[x]; take < best {
+					best = take
+				}
+				cc[x] = best
 			}
 		}
 	}

@@ -10,12 +10,12 @@ import (
 	"sort"
 )
 
-// Snapshot format v3 — a self-describing binary image of one engine, laid
+// Snapshot format v4 — a self-describing binary image of one engine, laid
 // out so the bulky part (the retained windows) restores by slicing a
 // page-aligned region out of a memory-mapped file, without a full decode:
 //
 //	"TKCMSNAP"          8-byte magic
-//	version             uint32 LE (currently 3)
+//	version             uint32 LE (currently 4)
 //	metaLen             uint64 LE
 //	meta                metaLen bytes (layout below)
 //	metaCRC             uint32 LE, IEEE CRC-32 of meta
@@ -29,26 +29,39 @@ import (
 // The meta section encodes, in order: the Config, the stream names, the
 // (possibly lazily ranked) reference sets, the engine and window tick
 // counters, the Stats counters, the per-stream cold-start fallback values,
-// the retained tick count (filled), and finally windowOff as a fixed-width
-// uint64 LE. Integers are varints, floats are IEEE-754 bits LE, strings are
-// uvarint-length prefixed UTF-8.
+// the retained tick count (filled), the profiler section (v4+, below), and
+// finally windowOff as a fixed-width uint64 LE. Integers are varints, floats
+// are IEEE-754 bits LE, strings are uvarint-length prefixed UTF-8, float
+// slices are uvarint-length prefixed.
 //
-// Version 1 and 2 images — a single varint payload with the window values
-// inlined after the retained count, under one trailing CRC; v1 additionally
-// predates Config.Float32Profiles — still restore through the legacy path.
+// The profiler section carries the incremental profiler's state, because
+// it is not derivable from the windows: aggregates caught up by replaying
+// deferred ticks round differently from aggregates rebuilt from scratch,
+// and near-tie anchor selections flip on that rounding. It is a stream
+// count — zero without an incremental profiler or retained values, else the
+// width — and then per stream: the window's start in the 2L history backing
+// (which decides when the backing compacts, and so whether a later catch-up
+// may replay), and whether the aggregates are valid. Valid aggregates add
+// the ticks deferred since the last catch-up, the window length at that
+// catch-up, the ticks since the last full rebuild, the catch-up's start
+// relative to the window start, the history values between it and the
+// window start (float slice), cross (float slice), the live candidate
+// energies (as many as cross) and the query energy. Restore reinstates all
+// of it, so a restored engine continues bit-identically to an uninterrupted
+// one.
 //
-// The incremental profiler's aggregates are deliberately NOT serialized:
-// they are demand-driven derived state (see IncrementalProfiler), exactly
-// reconstructible from the retained windows, so restore bulk-loads the
-// windows into the profiler and lets the first consult rebuild the
-// aggregates. This keeps the format independent of profiler internals —
-// a snapshot taken with one Config.Profiler restores under any other.
+// Older images restore as before: version 3 has no profiler section, so
+// restore bulk-loads the windows and the first consult of each stream
+// rebuilds its aggregates. Version 1 and 2 images — a single varint payload
+// with the window values inlined after the retained count, under one
+// trailing CRC; v1 additionally predates Config.Float32Profiles — restore
+// through the legacy path.
 const (
 	snapMagic   = "TKCMSNAP"
-	snapVersion = 3
+	snapVersion = 4
 	// snapVersionMin is the oldest image version restore still accepts.
 	snapVersionMin = 1
-	// snapAlign is the v3 window region's alignment: one page, so a
+	// snapAlign is the v3+ window region's alignment: one page, so a
 	// memory-mapped image hands the region straight to the bulk loads.
 	snapAlign = 4096
 	// snapHeaderLen is the fixed prefix before the payload/meta section.
@@ -62,13 +75,21 @@ const (
 func snapAlignUp(n int) int { return (n + snapAlign - 1) &^ (snapAlign - 1) }
 
 // Snapshot writes a versioned binary image of the engine's state — config,
-// reference sets, retained windows, counters — to w, restorable with
-// RestoreEngine. It must not run concurrently with Tick or TickBatch (take
-// snapshots between ticks; a single-goroutine owner, like a serving shard,
-// satisfies this for free).
+// reference sets, retained windows, counters, profiler state — to w,
+// restorable with RestoreEngine. It must not run concurrently with Tick or
+// TickBatch (take snapshots between ticks; a single-goroutine owner, like a
+// serving shard, satisfies this for free).
 func (e *Engine) Snapshot(w io.Writer) error {
 	enc := &snapEncoder{}
 	e.encodeSnapMeta(enc)
+	encodeProfilerState(enc, e.profilerImages())
+	return e.writeImage(w, snapVersion, enc)
+}
+
+// writeImage frames the encoded meta section enc (everything but the
+// trailing windowOff) as a version-tagged image — header, meta, CRC,
+// padding — and appends the engine's window region.
+func (e *Engine) writeImage(w io.Writer, version uint32, enc *snapEncoder) error {
 	metaLen := enc.buf.Len() + 8 // plus the fixed-width windowOff below
 	windowOff := snapAlignUp(snapHeaderLen + metaLen + 4)
 	enc.fixed64(uint64(windowOff))
@@ -76,7 +97,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 
 	var hdr [snapHeaderLen]byte
 	copy(hdr[:8], snapMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], snapVersion)
+	binary.LittleEndian.PutUint32(hdr[8:12], version)
 	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(meta)))
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(meta))
@@ -154,11 +175,93 @@ func (e *Engine) encodeSnapMeta(enc *snapEncoder) {
 	enc.uint(uint64(e.w.Filled()))
 }
 
+// profilerImages returns every stream's incremental profiler state, or nil
+// without an incremental profiler or retained values. The images alias live
+// state (see IncrementalProfiler.image).
+func (e *Engine) profilerImages() []incStreamImage {
+	if e.inc == nil || e.w.Filled() == 0 {
+		return nil
+	}
+	imgs := make([]incStreamImage, len(e.inc.states))
+	for i := range imgs {
+		imgs[i] = e.inc.image(i)
+	}
+	return imgs
+}
+
+// encodeProfilerState writes the v4 profiler section: the stream count
+// (zero for no state), then each stream's incStreamImage — history start,
+// validity, and for valid aggregates the deferral counters, sync geometry,
+// the values between the last sync and the window start, cross, the live
+// energy entries and eq.
+func encodeProfilerState(enc *snapEncoder, imgs []incStreamImage) {
+	enc.uint(uint64(len(imgs)))
+	for _, img := range imgs {
+		enc.uint(uint64(img.start))
+		enc.bool(img.valid)
+		if !img.valid {
+			continue
+		}
+		enc.uint(uint64(img.deferred))
+		enc.uint(uint64(img.syncM))
+		enc.uint(uint64(img.sinceRebuild))
+		enc.int(int64(img.syncRel))
+		enc.floats(img.pre)
+		enc.floats(img.cross)
+		for _, v := range img.energy {
+			enc.float(v)
+		}
+		enc.float(img.eq)
+	}
+}
+
+// decodeProfilerState parses the v4 profiler section into m.inc, bounding
+// every count by the bytes present. Shape checks against the config happen
+// in finish, which owns the profiler they are checked against.
+func decodeProfilerState(dec *snapDecoder, m *snapMeta) {
+	n := int(dec.uint())
+	if dec.err != nil || n == 0 {
+		return
+	}
+	if n != len(m.names) || m.filled == 0 {
+		dec.fail(fmt.Errorf("profiler state for %d streams, want %d with %d retained values", n, len(m.names), m.filled))
+		return
+	}
+	m.inc = make([]incStreamImage, n)
+	for i := range m.inc {
+		img := &m.inc[i]
+		img.start = int(dec.uint())
+		img.valid = dec.bool()
+		if !img.valid {
+			continue
+		}
+		img.deferred = int(dec.uint())
+		img.syncM = int(dec.uint())
+		img.sinceRebuild = int(dec.uint())
+		img.syncRel = int(dec.int())
+		img.pre = dec.floats()
+		img.cross = dec.floats()
+		if dec.err == nil && len(img.cross) > (len(dec.b)-dec.off)/8 {
+			dec.fail(fmt.Errorf("truncated energy aggregates at offset %d", dec.off))
+		}
+		if dec.err != nil {
+			return
+		}
+		img.energy = make([]float64, len(img.cross))
+		for j := range img.energy {
+			img.energy[j] = dec.float()
+		}
+		img.eq = dec.float()
+	}
+}
+
 // RestoreEngine reconstructs an engine from a Snapshot image. The restored
 // engine continues exactly where the snapshotted one left off: same config,
-// reference sets, retained windows, tick counters, and cold-start state.
-// Profiler aggregates are rebuilt from the windows on first use, so
-// subsequent imputations match an uninterrupted engine to within the
+// reference sets, retained windows, tick counters, cold-start state and,
+// for current images, incremental profiler state, so its later outputs are
+// bit-identical to an uninterrupted engine's. Images older than version 4
+// carry no profiler state; their aggregates are rebuilt from the windows on
+// first use, which matches an uninterrupted engine only to within the
 // incremental profiler's rebuild tolerance (~1e-9).
 func RestoreEngine(r io.Reader) (*Engine, error) {
 	return restoreEngine(r, nil)
@@ -192,12 +295,12 @@ func restoreEngine(r io.Reader, expect *Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: restore: implausible payload length %d", n)
 	}
 	if version >= 3 {
-		return restoreV3Stream(r, int(n), expect)
+		return restoreV3Stream(r, int(n), version, expect)
 	}
 
 	// Legacy v1/v2: one varint payload, window values inlined, one CRC.
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readSection(r, int64(n))
+	if err != nil {
 		return nil, fmt.Errorf("core: restore: reading payload: %w", err)
 	}
 	var crc [4]byte
@@ -232,12 +335,24 @@ func restoreEngine(r io.Reader, expect *Config) (*Engine, error) {
 	return m.finish(hist)
 }
 
-// restoreV3Stream reads a v3 image section by section from r — meta, its
-// CRC, the alignment padding, then the window region — with every read
-// bounded by a validated length before its buffer is allocated.
-func restoreV3Stream(r io.Reader, metaLen int, expect *Config) (*Engine, error) {
-	meta := make([]byte, metaLen)
-	if _, err := io.ReadFull(r, meta); err != nil {
+// readSection reads exactly n bytes from r. The buffer grows with the bytes
+// that actually arrive instead of being sized from n up front, so a length
+// field crafted near the section bound cannot allocate gigabytes from a
+// short image.
+func readSection(r io.Reader, n int64) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, n))
+	if err == nil && int64(len(b)) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
+}
+
+// restoreV3Stream reads a v3+ image section by section from r — meta, its
+// CRC, the alignment padding, then the window region — with every length
+// validated before it is read.
+func restoreV3Stream(r io.Reader, metaLen int, version uint32, expect *Config) (*Engine, error) {
+	meta, err := readSection(r, int64(metaLen))
+	if err != nil {
 		return nil, fmt.Errorf("core: restore: reading meta: %w", err)
 	}
 	var crc [4]byte
@@ -247,7 +362,7 @@ func restoreV3Stream(r io.Reader, metaLen int, expect *Config) (*Engine, error) 
 	if want, got := binary.LittleEndian.Uint32(crc[:]), crc32.ChecksumIEEE(meta); want != got {
 		return nil, fmt.Errorf("core: restore: meta checksum mismatch (snapshot corrupt)")
 	}
-	m, windowOff, err := parseV3Meta(meta, expect)
+	m, windowOff, err := parseV3Meta(meta, version, expect)
 	if err != nil {
 		return nil, err
 	}
@@ -264,8 +379,8 @@ func restoreV3Stream(r io.Reader, metaLen int, expect *Config) (*Engine, error) 
 	if windowBytes > maxSnapSection {
 		return nil, fmt.Errorf("core: restore: implausible window region size %d", windowBytes)
 	}
-	region := make([]byte, windowBytes)
-	if _, err := io.ReadFull(r, region); err != nil {
+	region, err := readSection(r, windowBytes)
+	if err != nil {
 		return nil, fmt.Errorf("core: restore: reading window region: %w", err)
 	}
 	if _, err := io.ReadFull(r, crc[:]); err != nil {
@@ -278,7 +393,7 @@ func restoreV3Stream(r io.Reader, metaLen int, expect *Config) (*Engine, error) 
 }
 
 // RestoreEngineBytes restores a Snapshot image held fully in memory (or
-// memory-mapped — see RestoreEngineFile). For v3 images the window region is
+// memory-mapped — see RestoreEngineFile). For v3+ images the window region is
 // sliced straight out of data without an intermediate copy of the image,
 // which is what makes hydrating a parked engine from a mapped checkpoint
 // cheap; data is not retained after the call returns. Older images go
@@ -310,7 +425,7 @@ func restoreEngineBytes(data []byte, expect *Config) (*Engine, error) {
 	if want, got := binary.LittleEndian.Uint32(data[crcOff:]), crc32.ChecksumIEEE(meta); want != got {
 		return nil, fmt.Errorf("core: restore: meta checksum mismatch (snapshot corrupt)")
 	}
-	m, windowOff, err := parseV3Meta(meta, expect)
+	m, windowOff, err := parseV3Meta(meta, version, expect)
 	if err != nil {
 		return nil, err
 	}
@@ -337,16 +452,19 @@ func restoreEngineBytes(data []byte, expect *Config) (*Engine, error) {
 	return m.finish(decodeWindowRegion(region))
 }
 
-// parseV3Meta decodes a v3 meta section and its trailing windowOff field,
+// parseV3Meta decodes a v3+ meta section and its trailing windowOff field,
 // then validates the image geometry: the window region must start
 // page-aligned, strictly after the metaCRC, with less than one page of
 // padding — so regions cannot overlap the meta section, and a region offset
 // cannot be inflated to smuggle unchecked bytes into the image.
-func parseV3Meta(meta []byte, expect *Config) (*snapMeta, int, error) {
+func parseV3Meta(meta []byte, version uint32, expect *Config) (*snapMeta, int, error) {
 	dec := &snapDecoder{b: meta}
-	m, err := decodeSnapMeta(dec, snapVersion, expect)
+	m, err := decodeSnapMeta(dec, version, expect)
 	if err != nil {
 		return nil, 0, err
+	}
+	if version >= 4 {
+		decodeProfilerState(dec, m)
 	}
 	off := dec.fixed64()
 	if dec.err != nil {
@@ -388,6 +506,9 @@ type snapMeta struct {
 	stats  EngineStats
 	last   []float64
 	filled int
+	// inc holds each stream's profiler state (v4+); nil for older images
+	// and engines without an incremental profiler.
+	inc []incStreamImage
 }
 
 // decodeSnapMeta parses the meta fields shared by every format version
@@ -482,10 +603,10 @@ func decodeSnapMeta(dec *snapDecoder, version uint32, expect *Config) (*snapMeta
 
 // finish validates the tick counters against the decoded window values
 // (stream-major, filled values per stream) and assembles the engine. The
-// retained values are already imputed (complete), so bulk-loading them
-// through the columnar append path rebuilds exactly the state a live engine
-// would hold — bit-identical to replaying them row by row, the TickColumns
-// equivalence — with the profiler aggregates left to the demand-driven
+// retained values are already imputed (complete). With profiler state in
+// the image, each stream's history and aggregates are reinstated exactly;
+// without it (images before v4), the windows are bulk-loaded through the
+// columnar append path and the aggregates left to the demand-driven
 // catch-up.
 func (m *snapMeta) finish(hist []float64) (*Engine, error) {
 	if m.wTick < m.filled-1 || m.tick < m.filled {
@@ -501,7 +622,22 @@ func (m *snapMeta) finish(hist []float64) (*Engine, error) {
 			cols[i] = hist[i*m.filled : (i+1)*m.filled]
 		}
 		e.w.AdvanceColumns(cols, 0, m.filled)
-		if e.inc != nil {
+		switch {
+		case m.inc != nil:
+			if e.inc == nil {
+				e.Close()
+				return nil, fmt.Errorf("core: restore: image carries incremental profiler state but its config runs the %s profiler", e.prof.Name())
+			}
+			for i := range m.inc {
+				if err := e.inc.validateImage(&m.inc[i], m.filled); err != nil {
+					e.Close()
+					return nil, fmt.Errorf("core: restore: stream %d profiler state: %w", i, err)
+				}
+			}
+			for i := range cols {
+				e.inc.restoreStream(i, cols[i], &m.inc[i])
+			}
+		case e.inc != nil:
 			for i := range cols {
 				e.inc.AdvanceBulk(i, cols[i])
 			}
@@ -541,6 +677,13 @@ func (e *snapEncoder) bool(v bool) {
 func (e *snapEncoder) float(v float64) {
 	binary.LittleEndian.PutUint64(e.scratch[:8], math.Float64bits(v))
 	e.buf.Write(e.scratch[:8])
+}
+
+func (e *snapEncoder) floats(vs []float64) {
+	e.uint(uint64(len(vs)))
+	for _, v := range vs {
+		e.float(v)
+	}
 }
 
 func (e *snapEncoder) fixed64(v uint64) {
@@ -641,6 +784,24 @@ func (d *snapDecoder) float() float64 {
 	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
 	d.off += 8
 	return v
+}
+
+// floats decodes a length-prefixed float64 slice, bounding the length by
+// the bytes present before allocating.
+func (d *snapDecoder) floats() []float64 {
+	n := d.uint()
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.b)-d.off)/8 {
+		d.fail(fmt.Errorf("truncated float slice at offset %d", d.off))
+		return nil
+	}
+	vs := make([]float64, n)
+	for i := range vs {
+		vs[i] = d.float()
+	}
+	return vs
 }
 
 func (d *snapDecoder) fixed64() uint64 {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -73,8 +74,8 @@ func TestSnapshotV3Layout(t *testing.T) {
 	defer e.Close()
 	img := snapImage(t, e)
 
-	if got := binary.LittleEndian.Uint32(img[8:12]); got != 3 {
-		t.Fatalf("snapshot version %d, want 3", got)
+	if got := binary.LittleEndian.Uint32(img[8:12]); got != snapVersion {
+		t.Fatalf("snapshot version %d, want %d", got, snapVersion)
 	}
 	metaLen := int(binary.LittleEndian.Uint64(img[12:20]))
 	windowOff := int(binary.LittleEndian.Uint64(img[20+metaLen-8 : 20+metaLen]))
@@ -239,8 +240,9 @@ func TestRestoreV3RejectsCraftedGeometry(t *testing.T) {
 // FuzzSnapshotSectionDecode fuzzes the v3 section decoder (and, through the
 // version dispatch, the legacy one): arbitrary bytes must either fail with
 // an error or produce an engine that the independent streaming decoder
-// agrees on and that can re-snapshot itself. Seeds cover a valid v3 image,
-// a legacy v2 image, and each crafted-geometry attack.
+// agrees on and that can re-snapshot itself. Seeds cover a valid image, a
+// v3 and a legacy v2 image, each crafted-geometry attack, and profiler
+// sections that disagree with the engine shape.
 func FuzzSnapshotSectionDecode(f *testing.F) {
 	e, err := NewEngine(snapTestConfig(), snapTestNames(3), nil)
 	if err != nil {
@@ -270,6 +272,22 @@ func FuzzSnapshotSectionDecode(f *testing.F) {
 	f.Add(patchWindowOff(img, uint64(windowOff+8)))
 	f.Add(patchWindowOff(img, 0))
 	f.Add(append(bytes.Clone(img), 0))
+	// Profiler-section seeds: a v3 image without one, and v4 images whose
+	// section disagrees with the engine shape.
+	f.Add(imageWith(f, e, 3, nil))
+	v := firstValidStream(f, e.profilerImages())
+	for _, mut := range []func(*incStreamImage){
+		func(img *incStreamImage) { img.syncRel = 1 },
+		func(img *incStreamImage) { img.start = 2 * e.cfg.WindowLength },
+		func(img *incStreamImage) { img.deferred = 1 << 40 },
+		func(img *incStreamImage) { img.pre = nil },
+		func(img *incStreamImage) { img.syncM++ },
+	} {
+		imgs := slices.Clone(e.profilerImages())
+		mut(&imgs[v])
+		f.Add(imageWith(f, e, snapVersion, imgs))
+	}
+	f.Add(imageWith(f, e, snapVersion, e.profilerImages()[1:]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := RestoreEngineBytes(data)

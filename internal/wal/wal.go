@@ -723,6 +723,15 @@ func (l *Log) syncNow() error {
 // syncLocked is syncNow's body; the caller holds syncMu.
 func (l *Log) syncLocked() error {
 	l.mu.Lock()
+	if len(l.buf) == 0 && l.pending == nil {
+		// Nothing to write. Test this before the swap: swapping here would
+		// hand appenders the spare buffer without taking the old one back,
+		// leaving buf and spare sharing one backing array, so the next
+		// group commit would hash and write bytes appenders overwrite.
+		failed := l.failed
+		l.mu.Unlock()
+		return failed
+	}
 	data := l.buf
 	b := l.pending
 	l.buf = l.spare[:0]
@@ -730,9 +739,6 @@ func (l *Log) syncLocked() error {
 	firstSeq := l.nextSeq // lower bound for a rotated segment's records
 	failed := l.failed
 	l.mu.Unlock()
-	if len(data) == 0 && b == nil {
-		return failed
-	}
 	if failed != nil {
 		// A previous sync failed and its records are a hole: writing these
 		// later records would bury the gap under valid-looking data. Refuse

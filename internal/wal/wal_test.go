@@ -732,3 +732,75 @@ func TestAppendBatchDurability(t *testing.T) {
 		t.Fatalf("replayed %d rows, want 200", len(seqs))
 	}
 }
+
+// TestIdleSyncThenConcurrentGroupCommit pins the double-buffer ownership
+// rule: a Sync on an idle log must not swap the append buffer, or buf and
+// spare end up sharing one backing array and the next group commit writes
+// bytes that appenders are overwriting. The failWrite seam runs appends on
+// another goroutine after the batch is hashed and before it is written, so
+// the overlap happens on every run, not only under an unlucky schedule.
+func TestIdleSyncThenConcurrentGroupCommit(t *testing.T) {
+	dir := t.TempDir()
+	var l *Log
+	armed := false
+	opts := Options{SyncInterval: time.Hour, failWrite: func() error {
+		if !armed {
+			return nil
+		}
+		armed = false
+		done := make(chan error)
+		go func() {
+			for seq := uint64(3); seq <= 5; seq++ {
+				if _, err := l.Append(seq, []float64{float64(seq)}); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		return <-done
+	}}
+	l, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(1, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil { // leaves a recycled spare buffer
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil { // idle: nothing buffered, nothing pending
+		t.Fatal(err)
+	}
+	// One record, so the batch plus its commit frame fits the recycled
+	// buffer without growing it: the swap is what decides whether the
+	// batch and the next appends share memory.
+	if _, err := l.Append(2, []float64{2}); err != nil {
+		t.Fatal(err)
+	}
+	armed = true
+	if err := l.Sync(); err != nil { // group commit of 2 races appends of 3..5
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	seqs, rows := collect(t, dir, 1)
+	if len(seqs) != 5 {
+		t.Fatalf("replayed seqs %v, want 1..5", seqs)
+	}
+	for i, seq := range seqs {
+		if seq != uint64(i+1) || rows[i][0] != float64(seq) {
+			t.Fatalf("record %d = seq %d values %v, want seq %d value %d", i, seq, rows[i], i+1, i+1)
+		}
+	}
+	rep, err := VerifyTenant(dir, nil)
+	if err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	if rep.DurableThrough != 5 {
+		t.Fatalf("DurableThrough = %d, want 5", rep.DurableThrough)
+	}
+}
