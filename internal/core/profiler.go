@@ -341,18 +341,7 @@ func (p *IncrementalProfiler) sync(st *incStreamState) {
 		st.energy = make([]float64, len(st.hist))
 		st.cross = make([]float64, 0, p.maxCand)
 	}
-	grow := st.m - st.syncM
-	slide := st.start - st.syncStart
-	// Replay needs: valid aggregates that already covered ≥ 1 candidate, a
-	// deferral expressible as growth-then-slide steps over values still in
-	// the backing, staying under the drift-rebuild budget — and it must be
-	// cheaper than the O(m + nCand·l) rebuild.
-	replay := st.aggOK &&
-		st.syncM-2*l+1 >= 1 &&
-		st.syncStart >= 0 && grow >= 0 && slide >= 0 && grow+slide == st.deferred &&
-		st.sinceRebuild+st.deferred < incRebuildEvery &&
-		st.deferred*(nCand+l) <= st.m+nCand*l
-	if !replay {
+	if !st.replayable(l) {
 		st.rebuild(st.hist[st.start:st.start+st.m], l)
 		st.syncStart = st.start
 		st.syncM = st.m
@@ -360,7 +349,7 @@ func (p *IncrementalProfiler) sync(st *incStreamState) {
 		st.aggOK = true
 		return
 	}
-	for g := 1; g <= grow; g++ {
+	for g := 1; g <= st.m-st.syncM; g++ {
 		st.replayGrowth(st.syncM+g, l)
 	}
 	for s := st.syncStart + 1; s <= st.start; s++ {
@@ -370,6 +359,25 @@ func (p *IncrementalProfiler) sync(st *incStreamState) {
 	st.syncStart = st.start
 	st.syncM = st.m
 	st.deferred = 0
+}
+
+// replayable reports whether sync may catch st's aggregates up by replaying
+// the deferred ticks instead of rebuilding them. Replay needs: valid
+// aggregates that already covered ≥ 1 candidate, a deferral expressible as
+// growth-then-slide steps over values still in the backing, staying under
+// the drift-rebuild budget — and it must be cheaper than the O(m + nCand·l)
+// rebuild. Once false it stays false until the next sync: later ticks only
+// add deferred work, and a compaction that drops the sync point out of the
+// backing is permanent.
+func (st *incStreamState) replayable(l int) bool {
+	nCand := st.m - 2*l + 1
+	grow := st.m - st.syncM
+	slide := st.start - st.syncStart
+	return st.aggOK &&
+		st.syncM-2*l+1 >= 1 &&
+		st.syncStart >= 0 && grow >= 0 && slide >= 0 && grow+slide == st.deferred &&
+		st.sinceRebuild+st.deferred < incRebuildEvery &&
+		st.deferred*(nCand+l) <= st.m+nCand*l
 }
 
 // replayGrowth replays one deferred warm-up tick: the window grew from m-1
@@ -525,10 +533,12 @@ type incStreamImage struct {
 
 // image returns stream i's state beyond its window values. The slices alias
 // the live state; the caller must finish with them before the next tick.
+// Aggregates the next sync can no longer replay are left out, as invalid:
+// that sync rebuilds them from the window either way.
 func (p *IncrementalProfiler) image(i int) incStreamImage {
 	st := p.states[i]
-	img := incStreamImage{start: st.start, valid: st.aggOK}
-	if !st.aggOK {
+	img := incStreamImage{start: st.start, valid: st.replayable(p.l)}
+	if !img.valid {
 		return img
 	}
 	img.deferred = st.deferred
@@ -545,9 +555,10 @@ func (p *IncrementalProfiler) image(i int) incStreamImage {
 }
 
 // restoreStream reinstates stream i from its retained window values (oldest
-// first) and its image, which must be consistent with the profiler's shape
-// (validateImage). The stream's tick counter restarts at len(window), as
-// AdvanceBulk would leave it.
+// first) and its decoded image, which must be consistent with the
+// profiler's shape (validateImage) and whose slices the stream may keep.
+// The stream's tick counter restarts at len(window), as AdvanceBulk would
+// leave it.
 func (p *IncrementalProfiler) restoreStream(i int, window []float64, img *incStreamImage) {
 	st := p.states[i]
 	st.hist = make([]float64, 2*p.winLen)
@@ -564,11 +575,17 @@ func (p *IncrementalProfiler) restoreStream(i int, window []float64, img *incStr
 	st.syncM = img.syncM
 	st.sinceRebuild = img.sinceRebuild
 	st.syncStart = img.start + img.syncRel
-	st.energy = make([]float64, len(st.hist))
-	copy(st.energy, img.energy)
+	st.energy = img.energy[:cap(img.energy)]
+	if len(st.energy) < len(st.hist) {
+		st.energy = make([]float64, len(st.hist))
+		copy(st.energy, img.energy)
+	}
 	st.estart = 0
-	st.cross = make([]float64, len(img.cross), max(p.maxCand, len(img.cross)))
-	copy(st.cross, img.cross)
+	st.cross = img.cross
+	if cap(st.cross) < p.maxCand {
+		st.cross = make([]float64, len(img.cross), p.maxCand)
+		copy(st.cross, img.cross)
+	}
 	st.eq = img.eq
 }
 

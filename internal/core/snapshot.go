@@ -239,18 +239,12 @@ func decodeProfilerState(dec *snapDecoder, m *snapMeta) {
 		img.syncM = int(dec.uint())
 		img.sinceRebuild = int(dec.uint())
 		img.syncRel = int(dec.int())
-		img.pre = dec.floats()
-		img.cross = dec.floats()
-		if dec.err == nil && len(img.cross) > (len(dec.b)-dec.off)/8 {
-			dec.fail(fmt.Errorf("truncated energy aggregates at offset %d", dec.off))
-		}
-		if dec.err != nil {
-			return
-		}
-		img.energy = make([]float64, len(img.cross))
-		for j := range img.energy {
-			img.energy[j] = dec.float()
-		}
+		img.pre = dec.floats(0)
+		// cross and energy are decoded with the capacity the live profiler
+		// slides them in (IncrementalProfiler.restoreStream keeps them).
+		// WindowLength was bounded by decodeSnapMeta.
+		img.cross = dec.floats(m.cfg.WindowLength - 2*m.cfg.PatternLength + 1)
+		img.energy = dec.floatsN(uint64(len(img.cross)), 2*m.cfg.WindowLength)
 		img.eq = dec.float()
 	}
 }
@@ -489,10 +483,17 @@ func parseV3Meta(meta []byte, version uint32, expect *Config) (*snapMeta, int, e
 // float64 values.
 func decodeWindowRegion(region []byte) []float64 {
 	vals := make([]float64, len(region)/8)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(region[i*8:]))
-	}
+	decodeFloats(vals, region)
 	return vals
+}
+
+// decodeFloats fills dst with the little-endian float64s at the start of
+// src, which must hold at least 8·len(dst) bytes.
+func decodeFloats(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[:8]))
+		src = src[8:]
+	}
 }
 
 // snapMeta is the decoded meta section of an image: everything the restore
@@ -786,10 +787,16 @@ func (d *snapDecoder) float() float64 {
 	return v
 }
 
-// floats decodes a length-prefixed float64 slice, bounding the length by
-// the bytes present before allocating.
-func (d *snapDecoder) floats() []float64 {
-	n := d.uint()
+// floats decodes a length-prefixed float64 slice with capacity at least
+// capHint, so a caller that keeps the slice and may grow it to capHint
+// need not copy it.
+func (d *snapDecoder) floats(capHint int) []float64 {
+	return d.floatsN(d.uint(), capHint)
+}
+
+// floatsN decodes n float64s into a slice with capacity at least capHint,
+// bounding n by the bytes present before allocating.
+func (d *snapDecoder) floatsN(n uint64, capHint int) []float64 {
 	if d.err != nil {
 		return nil
 	}
@@ -797,10 +804,9 @@ func (d *snapDecoder) floats() []float64 {
 		d.fail(fmt.Errorf("truncated float slice at offset %d", d.off))
 		return nil
 	}
-	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = d.float()
-	}
+	vs := make([]float64, n, max(int(n), capHint))
+	decodeFloats(vs, d.b[d.off:])
+	d.off += 8 * len(vs)
 	return vs
 }
 
