@@ -41,14 +41,15 @@ import (
 // count — zero without an incremental profiler or retained values, else the
 // width — and then per stream: the window's start in the 2L history backing
 // (which decides when the backing compacts, and so whether a later catch-up
-// may replay), and whether the aggregates are valid. Valid aggregates add
-// the ticks deferred since the last catch-up, the window length at that
-// catch-up, the ticks since the last full rebuild, the catch-up's start
-// relative to the window start, the history values between it and the
-// window start (float slice), cross (float slice), the live candidate
-// energies (as many as cross) and the query energy. Restore reinstates all
-// of it, so a restored engine continues bit-identically to an uninterrupted
-// one.
+// may replay), and whether the aggregates are valid — aggregates the next
+// catch-up can no longer replay are written as invalid, since it rebuilds
+// them from the window either way. Valid aggregates add the ticks deferred
+// since the last catch-up, the window length at that catch-up, the ticks
+// since the last full rebuild, the catch-up's start relative to the window
+// start, the history values between it and the window start (float slice),
+// cross (float slice), the live candidate energies (as many as cross) and
+// the query energy. Restore reinstates all of it, so a restored engine
+// continues bit-identically to an uninterrupted one.
 //
 // Older images restore as before: version 3 has no profiler section, so
 // restore bulk-loads the windows and the first consult of each stream
