@@ -242,8 +242,8 @@ func decodeProfilerState(dec *snapDecoder, m *snapMeta) {
 		img.syncRel = int(dec.int())
 		img.pre = dec.floats(0)
 		// cross and energy are decoded with the capacity the live profiler
-		// slides them in (IncrementalProfiler.restoreStream keeps them).
-		// WindowLength was bounded by decodeSnapMeta.
+		// slides them in, so IncrementalProfiler.restoreStream keeps them
+		// without a copy.
 		img.cross = dec.floats(m.cfg.WindowLength - 2*m.cfg.PatternLength + 1)
 		img.energy = dec.floatsN(uint64(len(img.cross)), 2*m.cfg.WindowLength)
 		img.eq = dec.float()
@@ -788,15 +788,16 @@ func (d *snapDecoder) float() float64 {
 	return v
 }
 
-// floats decodes a length-prefixed float64 slice with capacity at least
-// capHint, so a caller that keeps the slice and may grow it to capHint
-// need not copy it.
+// floats decodes a length-prefixed float64 slice with capacity capHint
+// when that is at most 4× its length, so a caller that keeps the slice and
+// may grow it to capHint need not copy it.
 func (d *snapDecoder) floats(capHint int) []float64 {
 	return d.floatsN(d.uint(), capHint)
 }
 
-// floatsN decodes n float64s into a slice with capacity at least capHint,
-// bounding n by the bytes present before allocating.
+// floatsN decodes n float64s, bounding n by the bytes present before
+// allocating. The capacity is capHint when n ≤ capHint ≤ 4n, else n, so
+// the allocation stays within a small multiple of the bytes decoded.
 func (d *snapDecoder) floatsN(n uint64, capHint int) []float64 {
 	if d.err != nil {
 		return nil
@@ -805,7 +806,11 @@ func (d *snapDecoder) floatsN(n uint64, capHint int) []float64 {
 		d.fail(fmt.Errorf("truncated float slice at offset %d", d.off))
 		return nil
 	}
-	vs := make([]float64, n, max(int(n), capHint))
+	c := int(n)
+	if capHint > c && capHint <= 4*c {
+		c = capHint
+	}
+	vs := make([]float64, n, c)
 	decodeFloats(vs, d.b[d.off:])
 	d.off += 8 * len(vs)
 	return vs

@@ -166,3 +166,23 @@ func TestRestoreRefusesProfilerStateForStatelessProfiler(t *testing.T) {
 		t.Fatalf("restore error = %v, want a refusal naming the naive profiler", err)
 	}
 }
+
+// TestFloatsCapacityHintBounded: the decoder honours a capacity hint only
+// within 4× the decoded length, so a crafted image whose config claims a
+// huge window cannot turn a one-value aggregate into a window-sized
+// allocation.
+func TestFloatsCapacityHintBounded(t *testing.T) {
+	enc := &snapEncoder{}
+	enc.floats([]float64{1.5})
+	enc.floats([]float64{1, 2, 3, 4})
+	dec := &snapDecoder{b: enc.buf.Bytes()}
+	if got := dec.floats(1 << 24); len(got) != 1 || cap(got) != 1 || got[0] != 1.5 {
+		t.Fatalf("one value with a 2^24 hint: len %d cap %d, want a 1-value slice", len(got), cap(got))
+	}
+	if got := dec.floats(16); len(got) != 4 || cap(got) != 16 {
+		t.Fatalf("four values with a 16 hint: len %d cap %d, want cap 16", len(got), cap(got))
+	}
+	if dec.err != nil {
+		t.Fatal(dec.err)
+	}
+}
